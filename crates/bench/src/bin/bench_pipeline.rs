@@ -13,11 +13,16 @@
 //! portable across machines, so both files carry a `calibration_ns` (a
 //! fixed single-thread workload timed in-process) and the gate compares the
 //! *calibrated ratio* `prepare_ns / calibration_ns` instead of raw time.
+//!
+//! The `small_replay` section replays the DowBJ Small world day by day and
+//! records, per day, ingest and clustering wall time and the clustering
+//! work counters, plus a growth ratio. It is informational, not gated: it
+//! shows whether a day's cost tracks that day's data or the whole history.
 
 use dlinfma_bench::{calibrated_gate, calibration_ns, ensure_writable};
 use dlinfma_core::{snapshot, DlInfMa, Engine, ShardedEngine};
 use dlinfma_eval::pipeline_config;
-use dlinfma_obs::{self as obs, JsonValue, Stopwatch};
+use dlinfma_obs::{self as obs, names, JsonValue, Stopwatch};
 use dlinfma_synth::{generate, generate_with, replay, world_config, Dataset, Preset, Scale};
 use std::process::ExitCode;
 
@@ -36,6 +41,9 @@ const OVERHEAD_ROUNDS: usize = 5;
 /// factor. 30% absorbs run-to-run scheduler noise on shared CI runners
 /// while still catching a real slowdown of the dominant stages.
 const GATE_TOLERANCE: f64 = 1.30;
+
+/// Days averaged at each end of the Small replay for its growth ratio.
+const GROWTH_WINDOW_DAYS: usize = 3;
 
 /// Wall time of one full engine replay of `dataset`, with the trace layer
 /// on or off. Traced runs drain the rings afterwards so successive
@@ -67,6 +75,67 @@ fn fleet_replay_at(shards: usize, dataset: &Dataset, preset: Preset) -> (u64, us
         fleet.ingest(&day);
     }
     (t.elapsed_ns(), fleet.n_stays(), fleet.n_candidates())
+}
+
+/// Replays DowBJ Small day by day with the `obs` counters on. Per day:
+/// ingest and clustering wall time and the `cluster/*` work counters'
+/// deltas; overall: mean ingest time of the last [`GROWTH_WINDOW_DAYS`]
+/// days over that of the first.
+fn small_replay_curve(preset: Preset) -> (JsonValue, f64) {
+    let (_, dataset) = generate(preset, Scale::Small, SEED);
+    let counters = [
+        ("cluster_inputs", names::CLUSTER_INPUTS),
+        ("cluster_merges", names::CLUSTER_MERGES),
+        (
+            "cluster_stale_heap_entries",
+            names::CLUSTER_STALE_HEAP_ENTRIES,
+        ),
+    ];
+    let was_enabled = obs::enabled();
+    obs::enable();
+    let mut engine = Engine::new(dataset.addresses.clone(), pipeline_config(preset));
+    let mut days = Vec::new();
+    let mut ingest_ms = Vec::new();
+    for day in replay(&dataset) {
+        let before: Vec<u64> = counters
+            .iter()
+            .map(|(_, c)| obs::counter(c).get())
+            .collect();
+        let t = Stopwatch::start();
+        let rep = engine.ingest(&day);
+        let ms = t.elapsed_ns() as f64 / 1e6;
+        ingest_ms.push(ms);
+        let mut row = vec![
+            ("day".into(), JsonValue::Num(f64::from(rep.day))),
+            ("ingest_ms".into(), JsonValue::Num(ms)),
+            (
+                "clustering_ms".into(),
+                JsonValue::Num(rep.clustering_ns as f64 / 1e6),
+            ),
+        ];
+        for ((key, counter), b) in counters.iter().zip(before) {
+            let delta = obs::counter(counter).get() - b;
+            row.push(((*key).into(), JsonValue::Num(delta as f64)));
+        }
+        days.push(JsonValue::Obj(row));
+    }
+    if !was_enabled {
+        obs::disable();
+        obs::reset_spans();
+    }
+    let w = GROWTH_WINDOW_DAYS.min(ingest_ms.len() / 2).max(1);
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
+    let growth = mean(&ingest_ms[ingest_ms.len().saturating_sub(w)..])
+        / mean(&ingest_ms[..w.min(ingest_ms.len())]);
+    let json = JsonValue::Obj(vec![
+        ("preset".into(), JsonValue::Str(preset.name().into())),
+        ("scale".into(), JsonValue::Str("small".into())),
+        ("seed".into(), JsonValue::Num(SEED as f64)),
+        ("growth_window_days".into(), JsonValue::Num(w as f64)),
+        ("ingest_growth".into(), JsonValue::Num(growth)),
+        ("days".into(), JsonValue::Arr(days)),
+    ]);
+    (json, growth)
 }
 
 fn prepare_at(workers: usize, dataset: &dlinfma_synth::Dataset, preset: Preset) -> (u64, DlInfMa) {
@@ -208,6 +277,8 @@ fn run() -> Result<(), String> {
         capture.threads.len()
     );
 
+    let (small_replay, small_growth) = small_replay_curve(preset);
+
     let n_days = days.len();
     let json = JsonValue::Obj(vec![
         ("preset".into(), JsonValue::Str(preset.name().into())),
@@ -249,6 +320,7 @@ fn run() -> Result<(), String> {
             JsonValue::Num(snap_bytes.len() as f64),
         ),
         ("ingest_days".into(), JsonValue::Arr(days)),
+        ("small_replay".into(), small_replay),
     ]);
     std::fs::write(&out, json.render_pretty()).map_err(|e| format!("write {out}: {e}"))?;
     println!(
@@ -262,6 +334,10 @@ fn run() -> Result<(), String> {
         );
     }
 
+    println!(
+        "small replay: last/first {GROWTH_WINDOW_DAYS}-day ingest ratio {small_growth:.2} \
+         (informational)"
+    );
     println!(
         "trace overhead: {:.3} ms traced vs {:.3} ms untraced ({:+.1}%)",
         traced_best as f64 / 1e6,

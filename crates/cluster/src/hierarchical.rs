@@ -6,10 +6,28 @@
 //! two centroids are within the distance threshold `D`. The centroid of each
 //! final cluster becomes a location candidate.
 //!
-//! The implementation is grid-accelerated with a lazy-deletion binary heap:
-//! merge candidates are only generated between clusters whose centroids are
-//! within `D`, which keeps the common case (tens of thousands of stay points
-//! spread over a district) near `O(n log n)` instead of the naive `O(n^3)`.
+//! **Merge order.** Only pairs whose centroids pass the grid's
+//! `distance_sq ≤ D²` test and then `dist < D` are candidates. Every step
+//! merges the candidate pair with the smallest key
+//! `(dist, survivor, absorbed)`, and the absorbed cluster's members are
+//! appended to the survivor's. The survivor of a pair is whichever cluster
+//! absorbed another more recently; when neither has merged yet, it is the
+//! lower index. This total order fixes the merge sequence, survivor ids,
+//! member order and centroid bits for any input and any worker count.
+//!
+//! **Algorithm.** The loop is Müllner's "generic" algorithm (*Modern
+//! hierarchical, agglomerative clustering algorithms*, arXiv:1109.2378),
+//! which stays exact for non-reducible linkages such as centroid. Each live
+//! cluster caches its nearest neighbour: the smallest key over its pairs,
+//! the partner, and the partner's last merge step. A priority queue holds
+//! one current entry per cluster. A grid holds the live centroids only.
+//! After merging `b` into `a`, one radius-`D` scan around `a`'s new centroid
+//! sets `a`'s nearest neighbour and lowers the cached key of every neighbour
+//! that `a` now beats. A cache whose partner was absorbed or has moved since
+//! is only a lower bound; it is recomputed by a radius-`D` scan when it
+//! reaches the head of the queue. A merge therefore costs a scan of its own
+//! neighbourhood plus one scan per cluster whose cached neighbour it
+//! invalidated, instead of re-pushing every pair within `D`.
 
 use dlinfma_geo::{GridIndex, Point};
 use dlinfma_obs::{self as obs, names};
@@ -17,31 +35,34 @@ use dlinfma_pool::Pool;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Below this many input points the parallel initial-pair scan costs more
-/// than it saves; [`merge_weighted_pooled`] falls back to the serial scan.
+/// Below this many input points the parallel nearest-neighbour scan costs
+/// more than it saves; [`merge_weighted_pooled`] falls back to the serial
+/// scan.
 const PARALLEL_PAIR_SCAN_MIN: usize = 512;
 
-/// Heap pops between `cluster/heap-size` trace counter samples inside the
-/// merge loop — frequent enough to see the heap drain, cheap enough not to
+/// Queue pops between `cluster/heap-size` trace counter samples inside the
+/// merge loop — frequent enough to see the queue drain, cheap enough not to
 /// perturb it.
 const HEAP_SAMPLE_EVERY: u64 = 1024;
 
 /// Where one merge call spent its time, split between the parallel initial
-/// pair scan and the sequential heap merge loop. `scan_cpu_ns` is summed
-/// per-chunk worker time (equals `scan_wall_ns` modulo scheduling overhead
-/// when serial); the engine aggregates these into the clustering stage's
-/// CPU column.
+/// nearest-neighbour scan and the sequential merge loop. `scan_cpu_ns` is
+/// summed per-chunk worker time (equals `scan_wall_ns` modulo scheduling
+/// overhead when serial); the engine aggregates these into the clustering
+/// stage's CPU column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MergeStats {
-    /// Wall-clock time of the initial nearest-pair scan, ns.
+    /// Wall-clock time of the initial nearest-neighbour scan, ns.
     pub scan_wall_ns: u64,
     /// Summed per-chunk CPU time of the scan, ns.
     pub scan_cpu_ns: u64,
-    /// Wall-clock time of the heap merge loop, ns.
+    /// Wall-clock time of the merge loop, ns.
     pub merge_ns: u64,
     /// Merges performed.
     pub merges: u64,
-    /// Stale heap entries skipped by lazy deletion.
+    /// Queue entries popped without a merge: superseded by a newer entry of
+    /// the same cluster, or holding a nearest neighbour that was absorbed or
+    /// moved since it was cached and so had to be recomputed.
     pub stale: u64,
 }
 
@@ -91,41 +112,163 @@ pub struct Cluster {
     pub weight: usize,
 }
 
+/// The merge key of one candidate pair; smaller merges first.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    dist: f64,
+    survivor: usize,
+    absorbed: usize,
+}
+
+impl Link {
+    fn order(&self, other: &Link) -> Ordering {
+        self.dist
+            .total_cmp(&other.dist)
+            .then_with(|| self.survivor.cmp(&other.survivor))
+            .then_with(|| self.absorbed.cmp(&other.absorbed))
+    }
+
+    /// Keeps the smaller of `best` and `self` in `best`.
+    fn keep_min(self, best: &mut Option<Link>) {
+        if best.is_none_or(|b| self.order(&b).is_lt()) {
+            *best = Some(self);
+        }
+    }
+}
+
+/// A cluster's cached nearest neighbour. Exact while neither the owner nor
+/// `partner` has merged since it was computed; otherwise a lower bound.
+#[derive(Debug, Clone, Copy)]
+struct Nearest {
+    link: Link,
+    partner: usize,
+    /// `partner`'s `merged_at` when `link` was computed.
+    partner_merged_at: u64,
+}
+
+impl Nearest {
+    /// `owner`'s view of `link`, stamped with the partner's current merge
+    /// step.
+    fn new(link: Link, owner: usize, active: &[Active]) -> Self {
+        let partner = if link.survivor == owner {
+            link.absorbed
+        } else {
+            link.survivor
+        };
+        Nearest {
+            link,
+            partner,
+            partner_merged_at: active[partner].merged_at,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Active {
     centroid: Point,
     weight: usize,
     members: Vec<usize>,
-    generation: u64,
+    /// Merge step (from 1) at which this cluster last absorbed another;
+    /// 0 while it never has.
+    merged_at: u64,
     alive: bool,
+    nearest: Option<Nearest>,
+    /// Bumped with every change of `nearest`; queue entries carrying an
+    /// older version are superseded.
+    version: u64,
 }
 
-/// Heap entry ordered by smallest distance first.
-#[derive(Debug, PartialEq)]
-struct Pair {
-    dist: f64,
-    a: usize,
-    b: usize,
-    a_gen: u64,
-    b_gen: u64,
+/// Queue entry: `owner`'s cached nearest-neighbour key as of `version`.
+/// Ordered so that `BinaryHeap` (a max-heap) pops the smallest key first.
+#[derive(Debug)]
+struct Queued {
+    link: Link,
+    owner: usize,
+    version: u64,
 }
 
-impl Eq for Pair {}
-
-impl Ord for Pair {
+impl Ord for Queued {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the smallest distance.
         other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.a.cmp(&self.a))
-            .then_with(|| other.b.cmp(&self.b))
+            .link
+            .order(&self.link)
+            .then_with(|| other.owner.cmp(&self.owner))
+            .then_with(|| other.version.cmp(&self.version))
     }
 }
 
-impl PartialOrd for Pair {
+impl PartialOrd for Queued {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Queued {}
+
+/// Calls `f` with the link to every live cluster whose centroid lies within
+/// `d` of `id`'s: the grid's `distance_sq ≤ d²`, then `dist < d`.
+fn for_each_link(
+    id: usize,
+    active: &[Active],
+    grid: &GridIndex<usize>,
+    d: f64,
+    mut f: impl FnMut(Link),
+) {
+    let me = &active[id];
+    grid.for_each_within(&me.centroid, d, |_, &other| {
+        if other == id {
+            return;
+        }
+        let o = &active[other];
+        let me_survives = me.merged_at > o.merged_at || (me.merged_at == o.merged_at && id < other);
+        let (survivor, absorbed) = if me_survives {
+            (id, other)
+        } else {
+            (other, id)
+        };
+        let dist = active[survivor]
+            .centroid
+            .distance(&active[absorbed].centroid);
+        if dist < d {
+            f(Link {
+                dist,
+                survivor,
+                absorbed,
+            });
+        }
+    });
+}
+
+/// `id`'s nearest neighbour among the live clusters, by a radius-`d` scan.
+fn nearest_of(id: usize, active: &[Active], grid: &GridIndex<usize>, d: f64) -> Option<Nearest> {
+    let mut best: Option<Link> = None;
+    for_each_link(id, active, grid, d, |l| l.keep_min(&mut best));
+    best.map(|link| Nearest::new(link, id, active))
+}
+
+/// Replaces `id`'s cached nearest neighbour and queues it under a new
+/// version, superseding the cluster's earlier queue entries.
+fn set_nearest(
+    active: &mut [Active],
+    queue: &mut BinaryHeap<Queued>,
+    id: usize,
+    nearest: Option<Nearest>,
+) {
+    let c = &mut active[id];
+    c.nearest = nearest;
+    c.version += 1;
+    if let Some(n) = nearest {
+        queue.push(Queued {
+            link: n.link,
+            owner: id,
+            version: c.version,
+        });
     }
 }
 
@@ -153,12 +296,12 @@ pub fn merge_weighted(items: &[WeightedPoint], distance_threshold: f64) -> Vec<C
     merge_weighted_impl(items, distance_threshold, None).0
 }
 
-/// [`merge_weighted`] with the initial nearest-pair scan fanned out over
-/// `pool` — the dominant cost on large inputs, where every point queries the
-/// grid for its radius-`D` neighbors. The merge loop itself stays
-/// sequential (each merge invalidates heap entries), but the heap it starts
-/// from is an order-insensitive multiset with a total tie-break order
-/// (`Pair`'s `Ord` falls back to indices), so the pooled and serial runs
+/// [`merge_weighted`] with the initial nearest-neighbour scan fanned out
+/// over `pool` — every point queries the grid for its radius-`D`
+/// neighbours, which dominates large, sparse inputs. The merge loop itself
+/// stays sequential (each merge changes the neighbours of the next). Each
+/// point's nearest neighbour is a minimum under a total order, so which
+/// worker computed it cannot change it, and the pooled and serial runs
 /// produce bitwise-identical clusters.
 pub fn merge_weighted_pooled(
     items: &[WeightedPoint],
@@ -202,117 +345,125 @@ fn merge_weighted_impl(
             centroid: w.pos,
             weight: w.weight,
             members: vec![i],
-            generation: 0,
+            merged_at: 0,
             alive: true,
+            nearest: None,
+            version: 0,
         })
         .collect();
 
-    // Grid of (cluster id, generation) entries; stale entries are skipped.
-    let mut grid: GridIndex<(usize, u64)> = GridIndex::new(d.max(1.0));
+    // Live clusters only: merged-away centroids are removed, not skipped.
+    let mut grid: GridIndex<usize> = GridIndex::new(d.max(1.0));
     for (i, a) in active.iter().enumerate() {
-        grid.insert(a.centroid, (i, 0));
+        grid.insert(a.centroid, i);
     }
 
-    let collect_neighbors =
-        |id: usize, active: &[Active], grid: &GridIndex<(usize, u64)>, out: &mut Vec<Pair>| {
-            let me = &active[id];
-            grid.for_each_within(&me.centroid, d, |_, &(other, other_gen)| {
-                if other == id {
-                    return;
-                }
-                let o = &active[other];
-                if !o.alive || o.generation != other_gen {
-                    return;
-                }
-                let dist = me.centroid.distance(&o.centroid);
-                if dist < d {
-                    out.push(Pair {
-                        dist,
-                        a: id,
-                        b: other,
-                        a_gen: me.generation,
-                        b_gen: other_gen,
-                    });
-                }
-            });
-        };
-
-    // The initial all-points neighbor scan dominates large inputs and is
-    // read-only, so it fans out over the pool. The heap is a multiset —
-    // which thread found a pair doesn't change what gets popped.
+    // The initial all-points nearest-neighbour scan is read-only, so it fans
+    // out over the pool; results come back in index order.
     let mut stats = MergeStats::default();
     let scan_sw = obs::Stopwatch::start();
-    let mut heap: BinaryHeap<Pair> = BinaryHeap::new();
-    match pool {
+    let nearest: Vec<Option<Nearest>> = match pool {
         Some(p) if p.threads() > 1 && active.len() >= PARALLEL_PAIR_SCAN_MIN => {
             let ids: Vec<usize> = (0..active.len()).collect();
             let chunk = ids.len().div_ceil(p.threads() * 4).max(1);
             let lists = p.par_chunks(&ids, chunk, |_, ids| {
                 let _scan_span = obs::trace_span(names::CLUSTER_PAIR_SCAN);
                 let sw = obs::Stopwatch::start();
-                let mut local = Vec::new();
-                for &id in ids {
-                    collect_neighbors(id, &active, &grid, &mut local);
-                }
+                let local: Vec<Option<Nearest>> = ids
+                    .iter()
+                    .map(|&id| nearest_of(id, &active, &grid, d))
+                    .collect();
                 (local, sw.elapsed_ns())
             });
+            let mut all = Vec::with_capacity(active.len());
             for (l, cpu_ns) in lists {
                 stats.scan_cpu_ns += cpu_ns;
-                heap.extend(l);
+                all.extend(l);
             }
+            all
         }
         _ => {
             let _scan_span = obs::trace_span(names::CLUSTER_PAIR_SCAN);
-            let mut local = Vec::new();
-            for id in 0..active.len() {
-                collect_neighbors(id, &active, &grid, &mut local);
-            }
-            heap.extend(local);
+            let all = (0..active.len())
+                .map(|id| nearest_of(id, &active, &grid, d))
+                .collect();
             stats.scan_cpu_ns = scan_sw.elapsed_ns();
+            all
+        }
+    };
+    stats.scan_wall_ns = scan_sw.elapsed_ns();
+    let mut queue: BinaryHeap<Queued> = BinaryHeap::with_capacity(active.len());
+    for (id, n) in nearest.into_iter().enumerate() {
+        if n.is_some() {
+            set_nearest(&mut active, &mut queue, id, n);
         }
     }
-    stats.scan_wall_ns = scan_sw.elapsed_ns();
 
     let merge_span = obs::trace_span(names::CLUSTER_MERGE_LOOP);
     let merge_sw = obs::Stopwatch::start();
     let mut n_merges = 0u64;
     let mut n_stale = 0u64;
     let mut n_pops = 0u64;
-    let mut scratch: Vec<Pair> = Vec::new();
-    while let Some(Pair {
-        a, b, a_gen, b_gen, ..
-    }) = heap.pop()
-    {
+    let mut lowered: Vec<Link> = Vec::new();
+    while let Some(Queued { owner, version, .. }) = queue.pop() {
         n_pops += 1;
         if n_pops.is_multiple_of(HEAP_SAMPLE_EVERY) {
-            obs::trace_counter(names::CLUSTER_HEAP_SIZE, heap.len() as f64);
+            obs::trace_counter(names::CLUSTER_HEAP_SIZE, queue.len() as f64);
         }
-        if !active[a].alive
-            || !active[b].alive
-            || active[a].generation != a_gen
-            || active[b].generation != b_gen
-        {
+        let me = &active[owner];
+        let Some(near) = me.nearest.filter(|_| me.alive && me.version == version) else {
             n_stale += 1;
-            continue; // stale entry
+            continue; // superseded
+        };
+        let partner = &active[near.partner];
+        if !partner.alive || partner.merged_at != near.partner_merged_at {
+            // Only a lower bound now: recompute and requeue.
+            n_stale += 1;
+            let fresh = nearest_of(owner, &active, &grid, d);
+            set_nearest(&mut active, &mut queue, owner, fresh);
+            continue;
         }
+
+        // Every queued key bounds its owner's true nearest key from below,
+        // and this one is exact, so it is the global minimum pair.
         n_merges += 1;
-        // Merge b into a with a weighted centroid.
+        let (a, b) = (near.link.survivor, near.link.absorbed);
+        let (old_a, old_b) = (active[a].centroid, active[b].centroid);
         let (wa, wb) = (active[a].weight as f64, active[b].weight as f64);
         let new_centroid = Point::new(
-            (active[a].centroid.x * wa + active[b].centroid.x * wb) / (wa + wb),
-            (active[a].centroid.y * wa + active[b].centroid.y * wb) / (wa + wb),
+            (old_a.x * wa + old_b.x * wb) / (wa + wb),
+            (old_a.y * wa + old_b.y * wb) / (wa + wb),
         );
+        grid.remove(&old_a, &a);
+        grid.remove(&old_b, &b);
+        grid.insert(new_centroid, a);
         let b_members = std::mem::take(&mut active[b].members);
         active[b].alive = false;
         active[a].members.extend(b_members);
         active[a].weight += active[b].weight;
         active[a].centroid = new_centroid;
-        active[a].generation += 1;
-        let gen = active[a].generation;
-        grid.insert(new_centroid, (a, gen));
-        scratch.clear();
-        collect_neighbors(a, &active, &grid, &mut scratch);
-        heap.extend(scratch.drain(..));
+        active[a].merged_at = n_merges;
+
+        // One scan around the moved centroid: `a` survives every link it
+        // finds (it merged last), so each link both bids for `a`'s nearest
+        // and lowers the neighbour's cache when it beats it.
+        let mut best: Option<Link> = None;
+        lowered.clear();
+        for_each_link(a, &active, &grid, d, |l| {
+            l.keep_min(&mut best);
+            if active[l.absorbed]
+                .nearest
+                .is_none_or(|n| l.order(&n.link).is_lt())
+            {
+                lowered.push(l);
+            }
+        });
+        for l in lowered.drain(..) {
+            let n = Nearest::new(l, l.absorbed, &active);
+            set_nearest(&mut active, &mut queue, l.absorbed, Some(n));
+        }
+        let a_nearest = best.map(|link| Nearest::new(link, a, &active));
+        set_nearest(&mut active, &mut queue, a, a_nearest);
     }
     stats.merge_ns = merge_sw.elapsed_ns();
     stats.merges = n_merges;
@@ -588,6 +739,185 @@ mod tests {
             prop_assert_eq!(seen, (0..points.len()).collect::<Vec<_>>());
             let total: usize = out.iter().map(|c| c.weight).sum();
             prop_assert_eq!(total, points.len());
+        }
+    }
+
+    /// Reference merge loop stating the pop rule directly: every step
+    /// scans all live pairs, orients each survivor-first (the cluster that
+    /// merged more recently, else the lower index), keeps those passing
+    /// `distance_sq ≤ d²` and `dist < d`, and merges the smallest
+    /// `(dist, survivor, absorbed)`. O(n³).
+    fn naive_merge(items: &[WeightedPoint], d: f64) -> Vec<Cluster> {
+        struct C {
+            centroid: Point,
+            weight: usize,
+            members: Vec<usize>,
+            merged_at: u64,
+            alive: bool,
+        }
+        let mut cs: Vec<C> = items
+            .iter()
+            .enumerate()
+            .map(|(i, w)| C {
+                centroid: w.pos,
+                weight: w.weight,
+                members: vec![i],
+                merged_at: 0,
+                alive: true,
+            })
+            .collect();
+        for step in 1u64.. {
+            let mut best: Option<(f64, usize, usize)> = None;
+            for s in 0..cs.len() {
+                for a in 0..cs.len() {
+                    if s == a || !cs[s].alive || !cs[a].alive {
+                        continue;
+                    }
+                    let (cs_, ca) = (&cs[s], &cs[a]);
+                    let s_survives =
+                        cs_.merged_at > ca.merged_at || (cs_.merged_at == ca.merged_at && s < a);
+                    if !s_survives || cs_.centroid.distance_sq(&ca.centroid) > d * d {
+                        continue;
+                    }
+                    let dist = cs_.centroid.distance(&ca.centroid);
+                    if dist >= d {
+                        continue;
+                    }
+                    let beats = best.is_none_or(|(bd, bs, ba)| {
+                        dist.total_cmp(&bd)
+                            .then(s.cmp(&bs))
+                            .then(a.cmp(&ba))
+                            .is_lt()
+                    });
+                    if beats {
+                        best = Some((dist, s, a));
+                    }
+                }
+            }
+            let Some((_, s, a)) = best else { break };
+            let (ws, wa) = (cs[s].weight as f64, cs[a].weight as f64);
+            let (ps, pa) = (cs[s].centroid, cs[a].centroid);
+            let moved = std::mem::take(&mut cs[a].members);
+            cs[a].alive = false;
+            cs[s].centroid = Point::new(
+                (ps.x * ws + pa.x * wa) / (ws + wa),
+                (ps.y * ws + pa.y * wa) / (ws + wa),
+            );
+            cs[s].members.extend(moved);
+            cs[s].weight += cs[a].weight;
+            cs[s].merged_at = step;
+        }
+        cs.into_iter()
+            .filter(|c| c.alive)
+            .map(|c| Cluster {
+                centroid: c.centroid,
+                members: c.members,
+                weight: c.weight,
+            })
+            .collect()
+    }
+
+    /// Thresholds for the oracle comparisons: below the lattice step (only
+    /// duplicates merge), exactly on lattice distances (the strict `< D`
+    /// boundary), between them, and the paper's 40 m.
+    const ORACLE_D: [f64; 5] = [0.5, 5.0, 7.5, 12.5, 40.0];
+
+    /// Weighted points on a 2.5 m lattice, so exact distance ties and
+    /// duplicate points are common.
+    fn lattice_items(cells: &[(u8, u8, u8)]) -> Vec<WeightedPoint> {
+        cells
+            .iter()
+            .map(|&(x, y, w)| WeightedPoint {
+                pos: Point::new(f64::from(x) * 2.5, f64::from(y) * 2.5),
+                weight: usize::from(w),
+            })
+            .collect()
+    }
+
+    fn pools() -> &'static [Pool] {
+        static POOLS: std::sync::OnceLock<Vec<Pool>> = std::sync::OnceLock::new();
+        POOLS.get_or_init(|| [1, 2, 8].into_iter().map(Pool::new).collect())
+    }
+
+    fn same_clusters(want: &[Cluster], got: &[Cluster]) -> Result<(), String> {
+        if want.len() != got.len() {
+            return Err(format!("{} clusters, want {}", got.len(), want.len()));
+        }
+        for (i, (w, g)) in want.iter().zip(got).enumerate() {
+            let same = w.members == g.members
+                && w.weight == g.weight
+                && w.centroid.x.to_bits() == g.centroid.x.to_bits()
+                && w.centroid.y.to_bits() == g.centroid.y.to_bits();
+            if !same {
+                return Err(format!("cluster {i}: got {g:?}, want {w:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    fn check_against_oracle(items: &[WeightedPoint], d: f64) -> Result<(), String> {
+        let want = naive_merge(items, d);
+        same_clusters(&want, &merge_weighted(items, d)).map_err(|e| format!("serial: {e}"))?;
+        for pool in pools() {
+            same_clusters(&want, &merge_weighted_pooled(items, d, pool))
+                .map_err(|e| format!("threads={}: {e}", pool.threads()))?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn oracle_agrees_on_hand_built_ties() {
+        // A plus-shape of equidistant points around a duplicated centre,
+        // then a chain whose merges move centroids onto exact ties.
+        let pts = [
+            (8, 8, 1),
+            (8, 8, 1),
+            (10, 8, 1),
+            (6, 8, 1),
+            (8, 10, 1),
+            (8, 6, 2),
+            (20, 8, 1),
+            (22, 8, 1),
+            (24, 8, 3),
+            (26, 8, 1),
+        ];
+        let items = lattice_items(&pts);
+        for d in ORACLE_D {
+            check_against_oracle(&items, d).unwrap_or_else(|e| panic!("D={d}: {e}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn merge_loop_matches_naive_oracle(
+            cells in proptest::collection::vec((0u8..16, 0u8..16, 1u8..4), 0..90),
+            di in 0usize..5,
+        ) {
+            let items = lattice_items(&cells);
+            let d = ORACLE_D[di];
+            if let Err(e) = check_against_oracle(&items, d) {
+                prop_assert!(false, "D={}: {}", d, e);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Large enough to cross `PARALLEL_PAIR_SCAN_MIN`, so the pooled
+        /// runs take the parallel nearest-neighbour scan.
+        #[test]
+        fn parallel_scan_matches_naive_oracle(
+            cells in proptest::collection::vec((0u8..40, 0u8..40, 1u8..4), 512..640),
+            di in 0usize..5,
+        ) {
+            let items = lattice_items(&cells);
+            let d = ORACLE_D[di];
+            if let Err(e) = check_against_oracle(&items, d) {
+                prop_assert!(false, "D={}: {}", d, e);
+            }
         }
     }
 }

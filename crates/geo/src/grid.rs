@@ -59,6 +59,27 @@ impl<T> GridIndex<T> {
         self.len += 1;
     }
 
+    /// Removes one item equal to `value` stored at exactly `p`, returning
+    /// whether one was found. Items sharing the cell may be reordered.
+    pub fn remove(&mut self, p: &Point, value: &T) -> bool
+    where
+        T: PartialEq,
+    {
+        let key = self.key(p);
+        let Some(bucket) = self.cells.get_mut(&key) else {
+            return false;
+        };
+        let Some(pos) = bucket.iter().position(|(q, v)| v == value && q == p) else {
+            return false;
+        };
+        bucket.swap_remove(pos);
+        if bucket.is_empty() {
+            self.cells.remove(&key);
+        }
+        self.len -= 1;
+        true
+    }
+
     /// Number of stored items.
     pub fn len(&self) -> usize {
         self.len
@@ -272,7 +293,64 @@ mod tests {
         assert_eq!(g.iter().count(), 10);
     }
 
+    #[test]
+    fn remove_drops_exactly_one_matching_item() {
+        let mut g = GridIndex::new(10.0);
+        let p = Point::new(3.0, 4.0);
+        g.insert(p, 1usize);
+        g.insert(p, 2usize);
+        g.insert(p, 1usize);
+        g.insert(Point::new(50.0, 0.0), 3usize);
+        // Wrong location or wrong value: nothing removed.
+        assert!(!g.remove(&Point::new(3.0, 5.0), &1));
+        assert!(!g.remove(&p, &3));
+        assert!(!g.remove(&Point::new(-80.0, 0.0), &1));
+        assert_eq!(g.len(), 4);
+        // One of the two duplicates goes; the other stays findable.
+        assert!(g.remove(&p, &1));
+        assert_eq!(g.len(), 3);
+        let mut near: Vec<usize> = g.within(&p, 1.0).into_iter().map(|(_, v)| *v).collect();
+        near.sort_unstable();
+        assert_eq!(near, vec![1, 2]);
+        assert!(g.remove(&p, &1));
+        assert!(g.remove(&p, &2));
+        assert!(!g.remove(&p, &2));
+        assert!(g.within(&p, 1.0).is_empty());
+        // An emptied cell no longer counts towards the occupied area.
+        assert_eq!(g.len(), 1);
+        assert_eq!(g.iter().count(), 1);
+        assert_eq!(*g.nearest(&p).unwrap().1, 3);
+        assert!(g.remove(&Point::new(50.0, 0.0), &3));
+        assert!(g.is_empty());
+        assert!(g.nearest(&p).is_none());
+    }
+
     proptest! {
+        #[test]
+        fn remove_then_within_matches_linear_scan(
+            pts in proptest::collection::vec((-200.0..200.0f64, -200.0..200.0f64), 0..60),
+            drop_every in 1usize..5,
+            qx in -250.0..250.0f64, qy in -250.0..250.0f64,
+            r in 1.0..150.0f64,
+        ) {
+            let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            let mut g = GridIndex::from_items(20.0, points.iter().enumerate().map(|(i, p)| (*p, i)));
+            for (i, p) in points.iter().enumerate().filter(|(i, _)| i % drop_every == 0) {
+                prop_assert!(g.remove(p, &i));
+            }
+            let q = Point::new(qx, qy);
+            let mut got: Vec<usize> = g.within(&q, r).into_iter().map(|(_, v)| *v).collect();
+            got.sort_unstable();
+            let want: Vec<usize> = points
+                .iter()
+                .enumerate()
+                .filter(|(i, p)| i % drop_every != 0 && p.distance(&q) <= r)
+                .map(|(i, _)| i)
+                .collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(g.len(), points.len() - points.len().div_ceil(drop_every));
+        }
+
         #[test]
         fn within_matches_linear_scan(
             pts in proptest::collection::vec((-200.0..200.0f64, -200.0..200.0f64), 0..60),

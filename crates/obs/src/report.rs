@@ -442,7 +442,7 @@ pub struct IngestReport {
     pub extraction_cpu_ns: u64,
     /// Incremental clustering wall-clock time, ns.
     pub clustering_ns: u64,
-    /// Clustering CPU time summed across pool workers (nearest-pair scans
+    /// Clustering CPU time summed across pool workers (nearest-neighbour scans
     /// plus the serial merge loops of every re-clustered component), ns.
     /// Zero for grid mode, which has no merge phase.
     pub clustering_cpu_ns: u64,

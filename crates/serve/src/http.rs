@@ -52,36 +52,116 @@ fn split_target(target: &str) -> (String, Vec<(String, String)>) {
     }
 }
 
-/// Reads one request head off the connection.
-///
-/// `Ok(None)` means the peer closed cleanly between requests. Read-timeout
-/// errors (`WouldBlock` / `TimedOut`) bubble up so the connection loop can
-/// poll its stop flag and come back.
-pub(crate) fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
+/// Largest request head — request line plus headers — one request may
+/// send. A longer head is answered 431 and the connection closed, so a
+/// client cannot make the server buffer without bound.
+pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// What [`HeadReader::next_head`] produced.
+#[derive(Debug)]
+pub(crate) enum Head {
+    /// One complete, parsed request head.
+    Request(Request),
+    /// The peer closed the connection; a partial head is discarded.
+    Closed,
+    /// The head grew past [`MAX_HEAD_BYTES`] without ending.
+    TooLarge,
+    /// The head is not UTF-8 or its request line does not parse.
+    Malformed(String),
+}
+
+/// Reads request heads off one connection. Bytes of a partial head are kept
+/// across read timeouts, so a client that pauses mid-head is answered once
+/// the head completes; bytes after a head (a pipelined request) are kept
+/// for the next call.
+#[derive(Debug)]
+pub(crate) struct HeadReader<R> {
+    inner: R,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> HeadReader<R> {
+    pub(crate) fn new(inner: R) -> Self {
+        Self {
+            inner,
+            buf: Vec::new(),
+        }
     }
+
+    /// Reads until one request head is buffered and parses it.
+    ///
+    /// Read-timeout errors (`WouldBlock` / `TimedOut`) bubble up with the
+    /// partial head kept, so the connection loop can poll its stop flag and
+    /// call again.
+    pub(crate) fn next_head(&mut self) -> io::Result<Head> {
+        let mut chunk = [0u8; 2048];
+        loop {
+            match head_end(&self.buf) {
+                Some(end) if end > MAX_HEAD_BYTES => return Ok(Head::TooLarge),
+                Some(end) => {
+                    let head = parse_head(&self.buf[..end]);
+                    self.buf.drain(..end);
+                    return Ok(head);
+                }
+                None if self.buf.len() >= MAX_HEAD_BYTES => return Ok(Head::TooLarge),
+                None => {}
+            }
+            let n = match self.inner.read(&mut chunk) {
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if n == 0 {
+                return Ok(Head::Closed);
+            }
+            self.buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    /// Reads and discards what the peer still sends, until it closes,
+    /// pauses for one read timeout, or `limit` bytes have gone. Closing a
+    /// socket with unread input resets the connection, which can destroy a
+    /// response already written; draining first lets an error answer reach
+    /// a client that is still sending.
+    pub(crate) fn discard_input(&mut self, limit: usize) {
+        let mut chunk = [0u8; 2048];
+        let mut left = limit;
+        while left > 0 {
+            match self.inner.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => left = left.saturating_sub(n),
+            }
+        }
+    }
+}
+
+/// Length of the head at the front of `buf`: through the first empty line
+/// after the request line (`\r\n` or bare `\n` endings), if one is buffered.
+fn head_end(buf: &[u8]) -> Option<usize> {
+    let mut line_start = 0;
+    for (i, _) in buf.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+        let line = &buf[line_start..i];
+        if line_start > 0 && line.strip_suffix(b"\r").unwrap_or(line).is_empty() {
+            return Some(i + 1);
+        }
+        line_start = i + 1;
+    }
+    None
+}
+
+fn parse_head(head: &[u8]) -> Head {
+    let Ok(text) = std::str::from_utf8(head) else {
+        return Head::Malformed("request head is not UTF-8".to_string());
+    };
+    let mut lines = text.lines();
+    let line = lines.next().unwrap_or_default();
     let mut parts = line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m.to_string(), t.to_string(), v.to_string()),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed request line: {line:?}"),
-            ))
-        }
+        (Some(m), Some(t), Some(v)) => (m, t, v),
+        _ => return Head::Malformed(format!("malformed request line: {line:?}")),
     };
     let mut close = version == "HTTP/1.0";
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Ok(None);
-        }
-        let header = header.trim();
-        if header.is_empty() {
-            break;
-        }
+    for header in lines.map(str::trim).take_while(|h| !h.is_empty()) {
         if let Some((k, v)) = header.split_once(':') {
             if k.trim().eq_ignore_ascii_case("connection") {
                 let v = v.trim();
@@ -93,13 +173,13 @@ pub(crate) fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Opti
             }
         }
     }
-    let (path, query) = split_target(&target);
-    Ok(Some(Request {
-        method,
+    let (path, query) = split_target(target);
+    Head::Request(Request {
+        method: method.to_string(),
         path,
         query,
         close,
-    }))
+    })
 }
 
 /// Writes a complete JSON response with `Content-Length` framing.
@@ -109,6 +189,7 @@ pub(crate) fn write_response(stream: &mut TcpStream, status: u16, body: &str) ->
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
     let head = format!(
@@ -194,5 +275,91 @@ impl HttpClient {
         let json = JsonValue::parse(&text)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("json body: {e}")))?;
         Ok((status, json))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// A reader replaying scripted chunks, with `None` standing for a read
+    /// timeout.
+    struct Script(VecDeque<Option<&'static [u8]>>);
+
+    impl Read for Script {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::TimedOut.into()),
+                Some(Some(bytes)) => {
+                    let n = bytes.len().min(out.len());
+                    out[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.push_front(Some(&bytes[n..]));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn reader(chunks: &[Option<&'static [u8]>]) -> HeadReader<Script> {
+        HeadReader::new(Script(chunks.iter().copied().collect()))
+    }
+
+    fn expect_request(head: io::Result<Head>) -> Request {
+        match head {
+            Ok(Head::Request(req)) => req,
+            other => panic!("expected a request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn partial_head_survives_timeouts_and_pipelined_bytes_are_kept() {
+        let mut r = reader(&[
+            Some(b"GET /lookup?address=3 HTTP/1.1\r\n"),
+            None,
+            Some(b"Host: x\r\n"),
+            None,
+            Some(b"\r\nGET /healthz HTTP/1.0\n\nGET /b"),
+        ]);
+        for _ in 0..2 {
+            let e = r.next_head().unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::TimedOut);
+        }
+        let req = expect_request(r.next_head());
+        assert_eq!(
+            (req.path.as_str(), req.param("address")),
+            ("/lookup", Some("3"))
+        );
+        assert!(!req.close);
+        let req = expect_request(r.next_head());
+        assert_eq!(req.path, "/healthz");
+        assert!(req.close, "HTTP/1.0 closes by default");
+        // A partial head at EOF is dropped with the connection.
+        assert!(matches!(r.next_head(), Ok(Head::Closed)));
+    }
+
+    #[test]
+    fn head_over_the_cap_is_too_large() {
+        static LONG: [u8; MAX_HEAD_BYTES] = [b'a'; MAX_HEAD_BYTES];
+        let mut r = reader(&[Some(b"GET / HTTP/1.1\r\nX-Pad: "), Some(&LONG)]);
+        assert!(matches!(r.next_head(), Ok(Head::TooLarge)));
+        // Just under the cap is fine.
+        let mut ok = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        ok.resize(MAX_HEAD_BYTES - 4, b'a');
+        ok.extend_from_slice(b"\r\n\r\n");
+        let ok: &'static [u8] = ok.leak();
+        let mut r = reader(&[Some(ok)]);
+        assert_eq!(expect_request(r.next_head()).path, "/");
+    }
+
+    #[test]
+    fn malformed_heads_are_reported() {
+        let mut r = reader(&[Some(b"GARBAGE\r\n\r\n")]);
+        assert!(matches!(r.next_head(), Ok(Head::Malformed(_))));
+        let mut r = reader(&[Some(b"GET / HTTP/1.1\r\nX: \xff\r\n\r\n")]);
+        assert!(matches!(r.next_head(), Ok(Head::Malformed(_))));
     }
 }

@@ -36,7 +36,7 @@ mod http;
 mod ingest;
 mod server;
 
-pub use http::{HttpClient, Request};
+pub use http::{HttpClient, Request, MAX_HEAD_BYTES};
 pub use ingest::{
     publish_sharded_snapshot, publish_snapshot, replay_and_publish, replay_and_publish_from,
     replay_and_publish_sharded, replay_and_publish_sharded_from, train_engine_model,

@@ -7,17 +7,21 @@
 //! per `/batch`), so a response never mixes state from two epochs and
 //! never waits on the ingest thread.
 
-use crate::http::{read_request, write_response, Request};
+use crate::http::{write_response, Head, HeadReader, Request, MAX_HEAD_BYTES};
 use dlinfma_obs::{self as obs, JsonValue};
 use dlinfma_pool::spawn_service;
 use dlinfma_store::{LocationSnapshot, QuerySource, SnapshotCell};
 use dlinfma_synth::AddressId;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Most input read and dropped after refusing a bad request head, so the
+/// refusal is not lost to a connection reset.
+const DISCARD_LIMIT: usize = 64 * MAX_HEAD_BYTES;
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -189,32 +193,48 @@ fn conn_loop(stream: TcpStream, read_timeout: Duration, shared: &Shared, cell: &
         return;
     };
     let mut write_half = write_half;
-    let mut reader = BufReader::new(stream);
+    // Answers one request; false when the response could not be written.
+    let mut respond = |status: u16, body: JsonValue| {
+        shared.requests.fetch_add(1, Ordering::Relaxed);
+        obs::counter(obs::names::SERVE_REQUESTS_TOTAL).inc();
+        if status >= 400 {
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+            obs::counter(obs::names::SERVE_ERRORS_TOTAL).inc();
+        }
+        write_response(&mut write_half, status, &body.render()).is_ok()
+    };
+    let mut reader = HeadReader::new(stream);
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             return;
         }
-        match read_request(&mut reader) {
-            Ok(None) => return, // peer closed
-            Ok(Some(req)) => {
+        match reader.next_head() {
+            Ok(Head::Closed) => return,
+            Ok(Head::Request(req)) => {
                 let (status, body) = handle(&req, shared, cell);
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                obs::counter(obs::names::SERVE_REQUESTS_TOTAL).inc();
-                if status >= 400 {
-                    shared.errors.fetch_add(1, Ordering::Relaxed);
-                    obs::counter(obs::names::SERVE_ERRORS_TOTAL).inc();
-                }
-                if write_response(&mut write_half, status, &body.render()).is_err() {
+                if !respond(status, body) || req.close {
                     return;
                 }
-                if req.close {
-                    return;
+            }
+            // The stream cannot be resynchronised after a bad head: answer,
+            // signal end of output, drain what the client is still sending,
+            // then close.
+            Ok(bad @ (Head::TooLarge | Head::Malformed(_))) => {
+                let (status, message) = match bad {
+                    Head::Malformed(message) => (400, message),
+                    _ => (431, format!("request head exceeds {MAX_HEAD_BYTES} bytes")),
+                };
+                if respond(status, error_body(&message, cell.load().epoch())) {
+                    let _ = write_half.shutdown(Shutdown::Write);
+                    reader.discard_input(DISCARD_LIMIT);
                 }
+                return;
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // Idle tick: loop around to re-check the stop flag.
+                // Idle tick, or a pause mid-head: the reader keeps the
+                // partial head; loop around to re-check the stop flag.
             }
             Err(_) => return,
         }

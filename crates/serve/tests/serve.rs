@@ -298,3 +298,75 @@ fn connection_close_is_honoured() {
     assert_eq!(json["status"].as_str(), Some("ok"));
     drop(server);
 }
+
+/// Reads one whole response off a raw socket the server closes after it.
+fn read_until_close(stream: &mut std::net::TcpStream) -> (u16, JsonValue) {
+    use std::io::Read;
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let status = raw
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status line");
+    let body = raw.split("\r\n\r\n").nth(1).expect("has body");
+    (status, JsonValue::parse(body).expect("valid JSON body"))
+}
+
+/// A client that pauses between its request line and its headers for
+/// several read timeouts is still answered: the partial head survives the
+/// server's timeout ticks.
+#[test]
+fn slow_client_pausing_mid_head_is_answered() {
+    use std::io::Write;
+    let cell = Arc::new(SnapshotCell::new());
+    cell.publish(sentinel_snapshot(2, 1.0));
+    let cfg = ServeConfig::default();
+    let pause = Duration::from_millis(3 * cfg.read_timeout_ms);
+    let server = Server::start(cfg, Arc::clone(&cell)).expect("bind loopback");
+
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+    std::thread::sleep(pause);
+    stream.write_all(b"Host: x\r\n").unwrap();
+    std::thread::sleep(pause);
+    stream.write_all(b"Connection: close\r\n\r\n").unwrap();
+    let (status, json) = read_until_close(&mut stream);
+    assert_eq!(status, 200);
+    assert_eq!(json["status"].as_str(), Some("ok"));
+    assert_eq!(server.stats().errors, 0);
+}
+
+/// A request head longer than `MAX_HEAD_BYTES` is refused with 431 and a
+/// malformed one with 400, each closing the connection, instead of being
+/// buffered without bound or dropped without an answer.
+#[test]
+fn oversized_or_malformed_head_is_answered_then_closed() {
+    use std::io::Write;
+    let cell = Arc::new(SnapshotCell::new());
+    cell.publish(sentinel_snapshot(2, 1.0));
+    let server = start_server(Arc::clone(&cell));
+
+    // Well past the cap: the server refuses after the first 8 KiB, while
+    // the rest is still arriving, and must not lose the answer to a reset.
+    let mut head = b"GET /healthz HTTP/1.1\r\nX-Padding: ".to_vec();
+    head.resize(4 * dlinfma_serve::MAX_HEAD_BYTES, b'a');
+    head.extend_from_slice(b"\r\n\r\n");
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&head).unwrap();
+    let (status, json) = read_until_close(&mut stream);
+    assert_eq!(status, 431);
+    assert!(json["error"].as_str().unwrap().contains("exceeds"));
+    assert_eq!(server.stats().errors, 1);
+
+    // A head whose request line does not parse gets 400, not a silent drop.
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(b"GARBAGE\r\nHost: x\r\n\r\n").unwrap();
+    let (status, json) = read_until_close(&mut stream);
+    assert_eq!(status, 400);
+    assert!(json["error"].as_str().unwrap().contains("malformed"));
+
+    // The server keeps serving other connections.
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    assert_eq!(client.get("/healthz").unwrap().0, 200);
+}
